@@ -5,7 +5,7 @@ export PYTHONPATH := src
 	bench-vcache bench-autoscale bench-attribution trace-smoke \
 	profile-smoke report-smoke explain-smoke bench-check
 
-check: lint compile test trace-smoke profile-smoke report-smoke explain-smoke
+check: lint-strict compile test trace-smoke profile-smoke report-smoke explain-smoke
 
 lint:
 	$(PYTHON) -m tools.lint src tests benchmarks

@@ -11,9 +11,18 @@ and the EV Sum pooling unit:
   fadd array, so results match the host SLS operator bit for bit.
 
 Two views are provided: an analytic bandwidth model (used by the kernel
-search and quick sizing) and a discrete-event execution (used by the
-end-to-end device, capturing real queueing over the trace's channel
-distribution).
+search and quick sizing) and a timed execution (used by the end-to-end
+device, capturing real queueing over the trace's channel distribution).
+
+A timed lookup is one pipeline.  A shared prologue validates the batch,
+flattens it in issue order and probes the optional controller-DRAM
+vector cache, which only removes hit lookups from the miss set (with no
+cache every lookup misses and nothing is probed).  The missed reads then
+run on one of two execution paths — per-read discrete-event processes
+(the reference oracle) or the vectorized replay of
+:mod:`repro.ssd.fastpath`, bitwise-equal to it — and a shared epilogue
+accounts the batch, emits its spans and profiler records and builds the
+:class:`LookupResult`.
 """
 
 from __future__ import annotations
@@ -170,58 +179,51 @@ class EmbeddingLookupEngine:
         return np.frombuffer(data, dtype=np.float32)
 
     def _probe_vcache(
-        self, sparse_batch: Sequence[Sequence[Sequence[int]]]
-    ) -> Tuple[Dict[tuple, np.ndarray], List[tuple], int]:
+        self, flat_tables: np.ndarray, flat_indices: np.ndarray
+    ) -> Tuple[np.ndarray, Dict[int, np.ndarray], float]:
         """Probe the cache once per lookup, in issue order.
 
-        Returns ``(raw_hits, misses, total)``: hit vectors keyed by
-        ``(sample, table, position)``, the missed lookups as
-        ``(slot, table_id, index)`` in issue order, and the total
-        probe count.  Cache state advances deterministically with the
-        probe sequence, so the DES and fast paths — which call this
-        with identical sequences — observe identical hit sets.
+        Returns ``(missed, hits, vcache_ns)``: the missed flat
+        positions in issue order, the hit vectors keyed by flat
+        position, and the DRAM fetch time of the hits.  Cache state
+        advances deterministically with the probe sequence, so both
+        execution paths observe identical hit sets.  Without a cache
+        every position misses and nothing is probed or accounted.
         """
-        num_tables = len(self.tables)
-        for sample_id, sample in enumerate(sparse_batch):
-            if len(sample) != num_tables:
-                raise ValueError(
-                    f"sample {sample_id}: {len(sample)} index lists for "
-                    f"{num_tables} tables"
-                )
         cache = self.controller.vcache
-        raw_hits: Dict[tuple, np.ndarray] = {}
-        misses: List[tuple] = []
-        total = 0
-        for sample_id, sample in enumerate(sparse_batch):
-            for table_id, indices in enumerate(sample):
-                for position, index in enumerate(indices):
-                    total += 1
-                    row = int(index)
-                    value = cache.access(
-                        (table_id, row),
-                        lambda t=table_id, r=row: self._load_vector(t, r),
-                    )
-                    if value is not None:
-                        raw_hits[(sample_id, table_id, position)] = value
-                    else:
-                        misses.append(((sample_id, table_id, position), table_id, row))
-        return raw_hits, misses, total
+        if cache is None:
+            return np.arange(len(flat_indices)), {}, 0.0
+        hits: Dict[int, np.ndarray] = {}
+        missed: List[int] = []
+        lookups = zip(flat_tables.tolist(), flat_indices.tolist())
+        for position, (table_id, row) in enumerate(lookups):
+            value = cache.access(
+                (table_id, row),
+                lambda t=table_id, r=row: self._load_vector(t, r),
+            )
+            if value is None:
+                missed.append(position)
+            else:
+                hits[position] = value
+        vcache_ns = self._account_vcache(len(hits), len(flat_indices))
+        return np.array(missed, dtype=np.int64), hits, vcache_ns
 
     def _account_vcache(self, hits: int, total: int) -> float:
         """Record one batch's probe outcome; returns the DRAM fetch ns."""
         cache = self.controller.vcache
-        evictions = fills = 0
-        if cache is not None:
-            seen_evictions, seen_fills = self._vcache_activity_seen
-            # ``reset_stats()`` (benchmarks call it mid-run) drops the
-            # cumulative counters below the high-water mark; restart
-            # the window instead of reporting a negative delta.
-            if cache.evictions < seen_evictions or cache.fills < seen_fills:
-                seen_evictions = seen_fills = 0
-            evictions = cache.evictions - seen_evictions
-            fills = cache.fills - seen_fills
-            self._vcache_activity_seen = (cache.evictions, cache.fills)
-        self.controller.stats.record_vcache(hits, total - hits, evictions, fills)
+        seen_evictions, seen_fills = self._vcache_activity_seen
+        # ``reset_stats()`` (benchmarks call it mid-run) drops the
+        # cumulative counters below the high-water mark; restart the
+        # window instead of reporting a negative delta.
+        if cache.evictions < seen_evictions or cache.fills < seen_fills:
+            seen_evictions = seen_fills = 0
+        self._vcache_activity_seen = (cache.evictions, cache.fills)
+        self.controller.stats.record_vcache(
+            hits,
+            total - hits,
+            cache.evictions - seen_evictions,
+            cache.fills - seen_fills,
+        )
         sanitizer = self.controller.flash.sanitizer
         if sanitizer is not None:
             sanitizer.vcache_batch(hits, total)
@@ -244,69 +246,8 @@ class EmbeddingLookupEngine:
         )
 
     # ------------------------------------------------------------------
-    # Discrete-event execution
+    # Batched lookup: one prologue and epilogue around either execution
     # ------------------------------------------------------------------
-    def _read_all_proc(
-        self, sparse_batch: Sequence[Sequence[Sequence[int]]]
-    ) -> Generator:
-        """Process: issue every vector read of the batch concurrently.
-
-        Returns the raw vectors as ``(sample, table, position) -> row``
-        so EV Sum can reduce in lookup order regardless of completion
-        order (the Path Buffer's job).
-        """
-        sim = self.controller.sim
-        events = []
-        slots = []
-        for sample_id, sample in enumerate(sparse_batch):
-            if len(sample) != len(self.tables):
-                raise ValueError(
-                    f"sample {sample_id}: {len(sample)} index lists for "
-                    f"{len(self.tables)} tables"
-                )
-            for table_id, indices in enumerate(sample):
-                for position, index in enumerate(indices):
-                    read = self.translator.translate(table_id, index)
-                    events.append(
-                        sim.process(
-                            self.controller.read_vector_proc(
-                                read.device_offset, read.size
-                            )
-                        )
-                    )
-                    slots.append((sample_id, table_id, position))
-        results = yield sim.all_of(events)
-        raw: Dict[tuple, np.ndarray] = {}
-        for slot, request in zip(slots, results):
-            raw[slot] = np.frombuffer(request.data, dtype=np.float32)
-        return raw
-
-    def _read_misses_proc(self, misses: Sequence[tuple]) -> Generator:
-        """Process: issue the cache-missed vector reads concurrently.
-
-        ``misses`` is the probe's miss list — ``(slot, table_id, row)``
-        in issue order, so the FTL MUX serves the flash reads in the
-        same order the cache-free DES would serve them.
-        """
-        sim = self.controller.sim
-        events = []
-        slots = []
-        for slot, table_id, row in misses:
-            read = self.translator.translate(table_id, row)
-            events.append(
-                sim.process(
-                    self.controller.read_vector_proc(
-                        read.device_offset, read.size
-                    )
-                )
-            )
-            slots.append(slot)
-        results = yield sim.all_of(events)
-        raw: Dict[tuple, np.ndarray] = {}
-        for slot, request in zip(slots, results):
-            raw[slot] = np.frombuffer(request.data, dtype=np.float32)
-        return raw
-
     def lookup_batch(
         self,
         sparse_batch: Sequence[Sequence[Sequence[int]]],
@@ -327,30 +268,87 @@ class EmbeddingLookupEngine:
         """
         if fast is None:
             fast = fastpath.enabled()
-        sim = self.controller.sim
-        if (
-            fast
-            and len(sparse_batch) > 0
-            and sim.peek() is None
-            and not self.controller.fmc.keep_history
-        ):
-            if self.controller.vcache is not None:
-                return self._lookup_batch_fast_vcache(sparse_batch)
-            return self._lookup_batch_fast(sparse_batch)
-        return self._lookup_batch_des(sparse_batch)
+        controller = self.controller
+        sim = controller.sim
+        lengths, flat_tables, flat_indices = self._flatten(sparse_batch)
+        start = sim.now
+        mark = controller.batch_mark() if controller.tracer.enabled else None
+        missed, hits, vcache_ns = self._probe_vcache(flat_tables, flat_indices)
+        if fast and sim.peek() is None and not controller.fmc.keep_history:
+            path = "fast"
+            pooled = self._lookup_batch_fast(
+                lengths, flat_tables, flat_indices, missed, hits
+            )
+        else:
+            path = "des"
+            pooled = self._lookup_batch_des(
+                sparse_batch, flat_tables, flat_indices, missed, hits
+            )
+        total = len(flat_indices)
+        elapsed = sim.now - start
+        controller.stats.record_useful(total * self.tables.ev_size)
+        ev_sum_ns = controller.timing.cycles_to_ns(
+            EV_SUM_CYCLES_PER_VECTOR * total
+        )
+        # The flash reads and the DRAM fetch of the hits overlap; EV Sum
+        # starts when the slower stream drains.
+        stage_ns = max(elapsed, vcache_ns)
+        result = LookupResult(
+            pooled=pooled,
+            elapsed_ns=stage_ns + ev_sum_ns,
+            vectors_read=len(missed),
+            path=path,
+            vcache_hits=len(hits),
+            vcache_ns=vcache_ns,
+        )
+        if controller.tracer.enabled:
+            self._emit_lookup_spans(
+                start, elapsed, stage_ns, ev_sum_ns, result, mark
+            )
+        self._profile_lookup(start, stage_ns, ev_sum_ns, vcache_ns)
+        return result
+
+    def _flatten(
+        self, sparse_batch: Sequence[Sequence[Sequence[int]]]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validate a batch and flatten it in issue order.
+
+        Returns ``(lengths, flat_tables, flat_indices)``: the lookup
+        count of every (sample, table) cell, and the table and row of
+        every lookup.  Issue order is sample-major — the order the DES
+        creates its read processes in, which fixes the FTL service
+        order.  Validation finishes before any probe or read is issued,
+        so a rejected batch leaves no simulation state behind.
+        """
+        if len(sparse_batch) == 0:
+            raise ValueError("empty batch")
+        num_tables = len(self.tables)
+        cells: List[Sequence[int]] = []
+        for sample_id, sample in enumerate(sparse_batch):
+            if len(sample) != num_tables:
+                raise ValueError(
+                    f"sample {sample_id}: {len(sample)} index lists for "
+                    f"{num_tables} tables"
+                )
+            cells.extend(sample)
+        lengths = np.fromiter(
+            (len(cell) for cell in cells), dtype=np.int64, count=len(cells)
+        )
+        table_ids = np.tile(np.arange(num_tables), len(sparse_batch))
+        flat_tables = np.repeat(table_ids, lengths)
+        flat_indices = np.concatenate(
+            [np.asarray(cell, dtype=np.int64) for cell in cells]
+        )
+        return lengths, flat_tables, flat_indices
 
     def _emit_lookup_spans(
         self,
         start: float,
         elapsed: float,
+        stage_ns: float,
         ev_sum_ns: float,
-        vectors_read: int,
-        nbatch: int,
-        path: str,
+        result: LookupResult,
         mark,
-        vcache_hits: int = 0,
-        vcache_ns: float = 0.0,
-        vcache_enabled: bool = False,
     ) -> None:
         """Span tree of one batched lookup, identical for both paths.
 
@@ -367,12 +365,17 @@ class EmbeddingLookupEngine:
         build.
         """
         tracer = self.controller.tracer
-        stage_ns = max(elapsed, vcache_ns) if vcache_enabled else elapsed
+        vcache_enabled = self.controller.vcache is not None
         end = start + stage_ns + ev_sum_ns
         track = tracer.lane_track("emb", start, end)
-        batch_args = {"vectors": vectors_read, "samples": nbatch, "path": path}
+        vectors_read = result.vectors_read
+        batch_args = {
+            "vectors": vectors_read,
+            "samples": len(result.pooled),
+            "path": result.path,
+        }
         if vcache_enabled:
-            batch_args["vcache_hits"] = vcache_hits
+            batch_args["vcache_hits"] = result.vcache_hits
         tracer.add_span(
             names.SPAN_LOOKUP_BATCH,
             start,
@@ -396,10 +399,10 @@ class EmbeddingLookupEngine:
             tracer.add_span(
                 names.VCACHE,
                 start,
-                start + vcache_ns,
+                start + result.vcache_ns,
                 cat="emb",
                 track=track,
-                args={"hits": vcache_hits},
+                args={"hits": result.vcache_hits},
             )
         tracer.add_span(
             names.EV_SUM,
@@ -407,17 +410,12 @@ class EmbeddingLookupEngine:
             end,
             cat="emb",
             track=track,
-            args={"vectors": vectors_read + vcache_hits},
+            args={"vectors": result.total_vectors},
         )
         self.controller.emit_batch_spans(start, mark)
 
     def _profile_lookup(
-        self,
-        start: float,
-        elapsed: float,
-        ev_sum_ns: float,
-        vcache_ns: float = 0.0,
-        vcache_enabled: bool = False,
+        self, start: float, stage_ns: float, ev_sum_ns: float, vcache_ns: float
     ) -> None:
         """Busy intervals of the engines the DES does not model as
         resources: the EV-Sum adder tree and the controller-DRAM
@@ -428,322 +426,154 @@ class EmbeddingLookupEngine:
         profiler = self.controller.sim.profiler
         if profiler is None or not profiler.enabled:
             return
-        stage_ns = max(elapsed, vcache_ns) if vcache_enabled else elapsed
         profiler.record_busy(
             names.EV_SUM,
             start + stage_ns,
             start + stage_ns + ev_sum_ns,
             names.KIND_EV_SUM,
         )
-        if vcache_enabled:
+        if self.controller.vcache is not None:
             profiler.record_busy(
                 names.VCACHE, start, start + vcache_ns, names.VCACHE
             )
 
-    def _lookup_batch_des(
-        self, sparse_batch: Sequence[Sequence[Sequence[int]]]
-    ) -> LookupResult:
-        """Reference path: one simulation process per vector read.
+    # ------------------------------------------------------------------
+    # Discrete-event execution (the reference oracle)
+    # ------------------------------------------------------------------
+    def _read_proc(
+        self,
+        missed: np.ndarray,
+        flat_tables: np.ndarray,
+        flat_indices: np.ndarray,
+    ) -> Generator:
+        """Process: issue the missed vector reads concurrently.
 
-        With a vector cache configured, the batch is probed first (in
-        issue order) and only the misses become read processes; hit
-        vectors are merged back by slot before EV Sum, so pooling still
-        accumulates in lookup order.
+        Reads are created in issue order, so the FTL MUX serves them in
+        the same order with or without a cache.  Returns the raw
+        vectors keyed by flat position so EV Sum can reduce in lookup
+        order regardless of completion order (the Path Buffer's job).
         """
         sim = self.controller.sim
-        start = sim.now
-        tracer = self.controller.tracer
-        mark = self.controller.batch_mark() if tracer.enabled else None
-        vcache = self.controller.vcache
-        if vcache is None:
-            proc = sim.process(self._read_all_proc(sparse_batch))
-            sim.run()
-            raw = proc.value
-            vcache_hits = 0
-            vcache_ns = 0.0
-        else:
-            raw, misses, total = self._probe_vcache(sparse_batch)
-            proc = sim.process(self._read_misses_proc(misses))
-            sim.run()
-            raw.update(proc.value)
-            vcache_hits = total - len(misses)
-            vcache_ns = self._account_vcache(vcache_hits, total)
-        elapsed = sim.now - start
-        total_vectors = len(raw)
-        vectors_read = total_vectors - vcache_hits
+        positions = missed.tolist()
+        tables = flat_tables.tolist()
+        indices = flat_indices.tolist()
+        events = []
+        for position in positions:
+            read = self.translator.translate(
+                tables[position], indices[position]
+            )
+            events.append(
+                sim.process(
+                    self.controller.read_vector_proc(
+                        read.device_offset, read.size
+                    )
+                )
+            )
+        results = yield sim.all_of(events)
+        return {
+            position: np.frombuffer(request.data, dtype=np.float32)
+            for position, request in zip(positions, results)
+        }
+
+    def _lookup_batch_des(
+        self,
+        sparse_batch: Sequence[Sequence[Sequence[int]]],
+        flat_tables: np.ndarray,
+        flat_indices: np.ndarray,
+        missed: np.ndarray,
+        hits: Dict[int, np.ndarray],
+    ) -> np.ndarray:
+        """Reference path: one simulation process per missed vector read.
+
+        Hit vectors are merged back by flat position before EV Sum, so
+        pooling still accumulates in lookup order.
+        """
+        sim = self.controller.sim
+        proc = sim.process(self._read_proc(missed, flat_tables, flat_indices))
+        sim.run()
+        raw = {**hits, **proc.value}
+        vectors = iter([raw[position] for position in range(len(raw))])
         # EV Sum: accumulate in lookup order for bitwise-stable fp32.
         pooled_rows: List[np.ndarray] = []
-        for sample_id, sample in enumerate(sparse_batch):
+        for sample in sparse_batch:
             per_table: List[np.ndarray] = []
-            for table_id, indices in enumerate(sample):
+            for indices in sample:
                 acc = np.zeros(self.dim, dtype=np.float32)
-                for position in range(len(indices)):
-                    acc += raw[(sample_id, table_id, position)]
-                if self.pooling == "mean" and indices:
+                for _ in indices:
+                    acc += next(vectors)
+                if self.pooling == "mean" and len(indices):
                     acc = (acc / np.float32(len(indices))).astype(np.float32)
                 per_table.append(acc)
             pooled_rows.append(np.concatenate(per_table).astype(np.float32))
-        self.controller.stats.record_useful(total_vectors * self.tables.ev_size)
-        ev_sum_ns = self.controller.timing.cycles_to_ns(
-            EV_SUM_CYCLES_PER_VECTOR * total_vectors
-        )
-        stage_ns = elapsed if vcache is None else max(elapsed, vcache_ns)
-        if tracer.enabled:
-            self._emit_lookup_spans(
-                start, elapsed, ev_sum_ns, vectors_read,
-                len(sparse_batch), "des", mark,
-                vcache_hits=vcache_hits,
-                vcache_ns=vcache_ns,
-                vcache_enabled=vcache is not None,
-            )
-        self._profile_lookup(
-            start, elapsed, ev_sum_ns, vcache_ns, vcache is not None
-        )
-        return LookupResult(
-            pooled=np.stack(pooled_rows),
-            elapsed_ns=stage_ns + ev_sum_ns,
-            vectors_read=vectors_read,
-            path="des",
-            vcache_hits=vcache_hits,
-            vcache_ns=vcache_ns,
-        )
+        return np.stack(pooled_rows)
 
+    # ------------------------------------------------------------------
+    # Vectorized execution
+    # ------------------------------------------------------------------
     def _lookup_batch_fast(
-        self, sparse_batch: Sequence[Sequence[Sequence[int]]]
-    ) -> LookupResult:
+        self,
+        lengths: np.ndarray,
+        flat_tables: np.ndarray,
+        flat_indices: np.ndarray,
+        missed: np.ndarray,
+        hits: Dict[int, np.ndarray],
+    ) -> np.ndarray:
         """Vectorized path: translate, replay, gather, segment-reduce.
 
         Produces the same elapsed time and bitwise-identical pooled
         outputs as :meth:`_lookup_batch_des`
-        (``tests/test_fastpath_equivalence.py``), in O(vectors) numpy
-        work instead of O(vectors) Python processes.
+        (``tests/test_fastpath_equivalence.py``,
+        ``tests/test_vcache_equivalence.py``), in O(vectors) numpy work
+        instead of O(vectors) Python processes.  Only the missed rows
+        are translated, replayed and gathered; cache hits are scattered
+        into their flat positions before the reduction.
         """
-        sim = self.controller.sim
-        start = sim.now
-        tracer = self.controller.tracer
-        mark = self.controller.batch_mark() if tracer.enabled else None
-        num_tables = len(self.tables)
-        # Per-(sample, table) lengths and the flat index stream, in
-        # issue order (sample-major) — the order the DES creates its
-        # read processes in, which fixes the FTL service order.
-        cells: List[Sequence[int]] = []
-        for sample_id, sample in enumerate(sparse_batch):
-            if len(sample) != num_tables:
-                raise ValueError(
-                    f"sample {sample_id}: {len(sample)} index lists for "
-                    f"{num_tables} tables"
-                )
-            cells.extend(sample)
-        lengths = np.fromiter(
-            (len(cell) for cell in cells), dtype=np.int64, count=len(cells)
-        )
-        vectors_read = int(lengths.sum())
+        controller = self.controller
         ev_size = self.tables.ev_size
-        timing = self.controller.timing
-        ev_sum_ns = timing.cycles_to_ns(EV_SUM_CYCLES_PER_VECTOR * vectors_read)
-        if vectors_read == 0:
-            pooled = np.zeros(
-                (len(sparse_batch), num_tables * self.dim), dtype=np.float32
-            )
-            self.controller.stats.record_useful(0)
-            sim.run(until=start)
-            if tracer.enabled:
-                self._emit_lookup_spans(
-                    start, 0.0, ev_sum_ns, 0, len(sparse_batch), "fast", mark
-                )
-            self._profile_lookup(start, 0.0, ev_sum_ns)
-            return LookupResult(
-                pooled=pooled,
-                elapsed_ns=ev_sum_ns,
-                vectors_read=0,
-                path="fast",
-            )
-        flat_indices = np.concatenate(
-            [np.asarray(cell, dtype=np.int64) for cell in cells if len(cell)]
-        )
-        table_ids = np.tile(np.arange(num_tables), len(sparse_batch))
-        flat_tables = np.repeat(table_ids, lengths)
+        count = len(missed)
+        miss_tables = flat_tables[missed]
+        miss_indices = flat_indices[missed]
         # Fig. 6 translation, batched per table.
-        device_offsets = np.empty(vectors_read, dtype=np.int64)
-        for table_id in range(num_tables):
-            members = np.flatnonzero(flat_tables == table_id)
+        device_offsets = np.empty(count, dtype=np.int64)
+        for table_id in range(len(self.tables)):
+            members = np.flatnonzero(miss_tables == table_id)
             if members.size:
                 device_offsets[members] = self.translator.translate_array(
-                    table_id, flat_indices[members]
+                    table_id, miss_indices[members]
                 )
-        physical_pages, cols = self.controller.translate_vector_offsets(
+        physical_pages, cols = controller.translate_vector_offsets(
             device_offsets, ev_size
         )
-        channel_ids, die_ids = self.controller.geometry.split_page_indices(
+        channel_ids, die_ids = controller.geometry.split_page_indices(
             physical_pages
         )
         # Timing: serialize the shared FTL stage, then replay the
         # two-phase flash protocol per channel.
-        enter_ns = self.controller.serve_ftl_batch(vectors_read)
+        enter_ns = controller.serve_ftl_batch(count)
         transfer_ns = np.full(
-            vectors_read, timing.vector_transfer_ns(ev_size)
+            count, controller.timing.vector_transfer_ns(ev_size)
         )
         _, end = fastpath.replay_reads(
-            self.controller.flash,
+            controller.flash,
             enter_ns,
             channel_ids,
             die_ids,
             transfer_ns,
             staged=True,
         )
-        self.controller.stats.record_vector_reads(
-            vectors_read, vectors_read * ev_size
-        )
-        self.controller.stats.record_useful(vectors_read * ev_size)
-        sim.run(until=end)
-        elapsed = sim.now - start
+        controller.stats.record_vector_reads(count, count * ev_size)
+        controller.sim.run(until=end)
         # EV Sum: gather rows from the flash pages, then reduce each
         # (sample, table) segment strictly left to right.
-        rows = self.controller.flash.peek_vectors(physical_pages, cols, ev_size)
-        mode = self.pooling
-        pooled = segment_pool(rows, lengths, mode).reshape(
-            len(sparse_batch), num_tables * self.dim
-        )
-        if tracer.enabled:
-            self._emit_lookup_spans(
-                start, elapsed, ev_sum_ns, vectors_read,
-                len(sparse_batch), "fast", mark,
-            )
-        self._profile_lookup(start, elapsed, ev_sum_ns)
-        return LookupResult(
-            pooled=pooled,
-            elapsed_ns=elapsed + ev_sum_ns,
-            vectors_read=vectors_read,
-            path="fast",
-        )
-
-    def _lookup_batch_fast_vcache(
-        self, sparse_batch: Sequence[Sequence[Sequence[int]]]
-    ) -> LookupResult:
-        """Vectorized path with the controller-DRAM cache enabled.
-
-        Probes the cache in the same issue order as the DES (so both
-        paths observe identical hit sets and cache states), replays
-        only the missed reads through the PR 2 machinery, and fills
-        the hit rows from cached DRAM copies — bitwise-equal pooled
-        outputs, elapsed times, and span trees
-        (``tests/test_vcache_equivalence.py``).
-        """
-        sim = self.controller.sim
-        start = sim.now
-        tracer = self.controller.tracer
-        mark = self.controller.batch_mark() if tracer.enabled else None
-        num_tables = len(self.tables)
-        raw_hits, misses, total = self._probe_vcache(sparse_batch)
-        vectors_read = len(misses)
-        vcache_hits = total - vectors_read
-        ev_size = self.tables.ev_size
-        timing = self.controller.timing
-        ev_sum_ns = timing.cycles_to_ns(EV_SUM_CYCLES_PER_VECTOR * total)
-        vcache_ns = self._account_vcache(vcache_hits, total)
-        if total == 0:
-            pooled = np.zeros(
-                (len(sparse_batch), num_tables * self.dim), dtype=np.float32
-            )
-            self.controller.stats.record_useful(0)
-            sim.run(until=start)
-            if tracer.enabled:
-                self._emit_lookup_spans(
-                    start, 0.0, ev_sum_ns, 0, len(sparse_batch), "fast", mark,
-                    vcache_hits=0, vcache_ns=vcache_ns, vcache_enabled=True,
-                )
-            self._profile_lookup(start, 0.0, ev_sum_ns, vcache_ns, True)
-            return LookupResult(
-                pooled=pooled,
-                elapsed_ns=ev_sum_ns,
-                vectors_read=0,
-                path="fast",
-                vcache_hits=0,
-                vcache_ns=vcache_ns,
-            )
-        # Flat row slots in issue order: lookup (sample, table, position)
-        # lands at cell_offset + position, matching both the probe order
-        # and the DES's read-process creation order.
-        lengths = np.fromiter(
-            (len(indices) for sample in sparse_batch for indices in sample),
-            dtype=np.int64,
-            count=len(sparse_batch) * num_tables,
-        )
-        offsets = np.zeros(len(lengths), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        rows = np.empty((total, self.dim), dtype=np.float32)
-        for (sample_id, table_id, position), vector in raw_hits.items():
-            rows[offsets[sample_id * num_tables + table_id] + position] = vector
-        if vectors_read:
-            miss_tables = np.fromiter(
-                (miss[1] for miss in misses), dtype=np.int64, count=vectors_read
-            )
-            miss_rows = np.fromiter(
-                (miss[2] for miss in misses), dtype=np.int64, count=vectors_read
-            )
-            device_offsets = np.empty(vectors_read, dtype=np.int64)
-            for table_id in range(num_tables):
-                members = np.flatnonzero(miss_tables == table_id)
-                if members.size:
-                    device_offsets[members] = self.translator.translate_array(
-                        table_id, miss_rows[members]
-                    )
-            physical_pages, cols = self.controller.translate_vector_offsets(
-                device_offsets, ev_size
-            )
-            channel_ids, die_ids = self.controller.geometry.split_page_indices(
-                physical_pages
-            )
-            enter_ns = self.controller.serve_ftl_batch(vectors_read)
-            transfer_ns = np.full(
-                vectors_read, timing.vector_transfer_ns(ev_size)
-            )
-            _, end = fastpath.replay_reads(
-                self.controller.flash,
-                enter_ns,
-                channel_ids,
-                die_ids,
-                transfer_ns,
-                staged=True,
-            )
-            self.controller.stats.record_vector_reads(
-                vectors_read, vectors_read * ev_size
-            )
-            sim.run(until=end)
-            miss_slots = np.fromiter(
-                (
-                    offsets[miss[0][0] * num_tables + miss[0][1]] + miss[0][2]
-                    for miss in misses
-                ),
-                dtype=np.int64,
-                count=vectors_read,
-            )
-            rows[miss_slots] = self.controller.flash.peek_vectors(
-                physical_pages, cols, ev_size
-            )
-        else:
-            sim.run(until=start)
-        elapsed = sim.now - start
-        self.controller.stats.record_useful(total * ev_size)
-        pooled = segment_pool(rows, lengths, self.pooling).reshape(
-            len(sparse_batch), num_tables * self.dim
-        )
-        if tracer.enabled:
-            self._emit_lookup_spans(
-                start, elapsed, ev_sum_ns, vectors_read,
-                len(sparse_batch), "fast", mark,
-                vcache_hits=vcache_hits,
-                vcache_ns=vcache_ns,
-                vcache_enabled=True,
-            )
-        self._profile_lookup(start, elapsed, ev_sum_ns, vcache_ns, True)
-        return LookupResult(
-            pooled=pooled,
-            elapsed_ns=max(elapsed, vcache_ns) + ev_sum_ns,
-            vectors_read=vectors_read,
-            path="fast",
-            vcache_hits=vcache_hits,
-            vcache_ns=vcache_ns,
+        rows = controller.flash.peek_vectors(physical_pages, cols, ev_size)
+        if hits:
+            flash_rows = rows
+            rows = np.empty((len(flat_indices), self.dim), dtype=np.float32)
+            rows[missed] = flash_rows
+            hit_positions = np.fromiter(hits, dtype=np.int64, count=len(hits))
+            rows[hit_positions] = np.stack(list(hits.values()))
+        return segment_pool(rows, lengths, self.pooling).reshape(
+            -1, len(self.tables) * self.dim
         )
 
     # ------------------------------------------------------------------

@@ -262,7 +262,8 @@ class ServingSimulator:
         Returns the sustained QPS *and* every load point the search
         evaluated (trickle probe included), in evaluation order;
         ``max_qps`` is 0.0 if even a trickle misses the SLA (the
-        unloaded latency already exceeds it).
+        unloaded latency already exceeds it), and at least the trickle
+        load once the trickle meets it.
         """
         low, high = 0.0, self.saturation_qps
         trickle = self.offered_load(
@@ -279,7 +280,9 @@ class ServingSimulator:
                 low = mid
             else:
                 high = mid
-        return SLASearchResult(max_qps=low, points=tuple(points))
+        return SLASearchResult(
+            max_qps=max(low, trickle.offered_qps), points=tuple(points)
+        )
 
     def max_qps_under_sla(
         self,

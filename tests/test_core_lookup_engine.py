@@ -16,9 +16,11 @@ from repro.ssd.blockdev import BlockDevice
 from repro.ssd.controller import SSDController
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.timing import SSDTimingModel
+from repro.ssd.vcache import VectorCache
 
 
-def make_engine(num_tables=4, rows=64, dim=32, max_extent_pages=None):
+def make_engine(num_tables=4, rows=64, dim=32, max_extent_pages=None,
+                vcache=None):
     geo = SSDGeometry(
         channels=4,
         dies_per_channel=4,
@@ -26,7 +28,9 @@ def make_engine(num_tables=4, rows=64, dim=32, max_extent_pages=None):
         blocks_per_plane=32,
         pages_per_block=32,
     )
-    device = BlockDevice(SSDController(Simulator(), geo), max_extent_pages)
+    device = BlockDevice(
+        SSDController(Simulator(), geo, vcache=vcache), max_extent_pages
+    )
     tables = EmbeddingTableSet.uniform(num_tables, rows, dim, seed=5)
     layout = EmbeddingLayout(device, tables)
     layout.create_all()
@@ -56,10 +60,27 @@ class TestNumerics:
         expected = (tables[0].row(3) * 2).astype(np.float32)
         np.testing.assert_array_equal(result.pooled[0, :32], expected)
 
-    def test_wrong_table_count_rejected(self):
-        engine, _ = make_engine(num_tables=2)
-        with pytest.raises(ValueError):
-            engine.lookup_batch([[[0]]])
+    @pytest.mark.parametrize("fast", [False, True], ids=["des", "fast"])
+    @pytest.mark.parametrize("capacity", [None, 16], ids=["nocache", "vcache"])
+    def test_wrong_table_count_rejected(self, fast, capacity):
+        def build():
+            vcache = None if capacity is None else VectorCache(capacity)
+            return make_engine(num_tables=3, vcache=vcache)[0]
+
+        engine = build()
+        # A malformed sample after a valid one: the whole batch must be
+        # rejected before any probe or read process exists.
+        for malformed in ([[[0]]], [[[0], [1], [2]], [[0]]]):
+            with pytest.raises(ValueError):
+                engine.lookup_batch(malformed, fast=fast)
+        assert engine.controller.sim.peek() is None
+        # The next valid batch runs as on a fresh engine.
+        valid = [[[5], [6], [7]]]
+        fresh = build()
+        after = engine.lookup_batch(valid, fast=fast)
+        expected = fresh.lookup_batch(valid, fast=fast)
+        assert after.elapsed_ns == pytest.approx(expected.elapsed_ns, rel=0, abs=0)
+        assert engine.controller.stats.as_dict() == fresh.controller.stats.as_dict()
 
     def test_useful_bytes_accounted(self):
         engine, tables = make_engine()

@@ -209,16 +209,31 @@ def test_smoke_equivalence_with_vcache():
     )
 
 
-def test_all_empty_lookups_equivalent():
-    """Zero vectors read: the fast path still matches the DES."""
+@pytest.mark.parametrize("capacity", [None, 16], ids=["nocache", "vcache"])
+def test_all_empty_lookups_equivalent(capacity):
+    """Zero vectors read: the fast path still matches the DES, with or
+    without a vector cache, span trees included."""
+    from repro.obs.tracer import Tracer
+    from repro.ssd.vcache import VectorCache
+
     batch = [[[], [], []], [[], [], []]]
-    des_engine = build_engine("square")
-    fast_engine = build_engine("square")
+    engines = []
+    for _ in range(2):
+        vcache = None if capacity is None else VectorCache(capacity)
+        engine = build_engine("square", vcache=vcache)
+        engine.controller.tracer = Tracer()
+        engines.append(engine)
+    des_engine, fast_engine = engines
     des = des_engine.lookup_batch(batch, fast=False)
     fast = fast_engine.lookup_batch(batch, fast=True)
     assert fast.path == "fast"
     assert fast.vectors_read == 0
+    assert (fast.vcache_hits, des.vcache_hits) == (0, 0)
     assert_equivalent(des_engine, fast_engine, des, fast)
+    des_tracer = des_engine.controller.tracer
+    fast_tracer = fast_engine.controller.tracer
+    assert len(des_tracer) > 0
+    assert fast_tracer.as_tuples() == des_tracer.as_tuples()
 
 
 # ----------------------------------------------------------------------

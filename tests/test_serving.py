@@ -6,7 +6,7 @@ from repro.core.lookup_engine import flash_read_cycles
 from repro.fpga.compose import StageTimes
 from repro.fpga.decompose import decompose_model
 from repro.fpga.search import kernel_search
-from repro.host.serving import ServingSimulator
+from repro.host.serving import LoadPoint, ServingSimulator
 from repro.models import build_model, get_config
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.timing import SSDTimingModel
@@ -161,6 +161,23 @@ class TestServingSimulator:
         serving = ServingSimulator(simple_times(), seed=4)
         unloaded_ns = (200_000 + 30_000) * 5.0
         assert serving.max_qps_under_sla(sla_ns=unloaded_ns / 10) == 0.0
+
+    def test_passing_trickle_is_credited(self, monkeypatch):
+        """Regression: a trickle probe that meets the SLA is the
+        answer when every bisection probe misses, not 0."""
+        serving = ServingSimulator(simple_times(), seed=6)
+        trickle_qps = max(1e-3, 0.01 * serving.saturation_qps)
+
+        def offered_load(qps, queries=200, seed=None, fast=None):
+            latency = 1.0 if qps <= trickle_qps else 1e9
+            return LoadPoint(qps, qps, latency, latency, latency, latency)
+
+        monkeypatch.setattr(serving, "offered_load", offered_load)
+        result = serving.sla_search(sla_ns=10.0)
+        assert result.points[0].meets_sla(10.0)
+        assert len(result.points) > 1
+        assert not any(point.meets_sla(10.0) for point in result.points[1:])
+        assert result.max_qps == trickle_qps
 
     def test_looser_sla_allows_more_load(self):
         serving = ServingSimulator(simple_times(), seed=5)

@@ -73,7 +73,7 @@ class ParitySpec:
 LOOKUP_PARITY = ParitySpec(
     label="lookup",
     des_roots=("_lookup_batch_des",),
-    fast_roots=("_lookup_batch_fast", "_lookup_batch_fast_vcache"),
+    fast_roots=("_lookup_batch_fast",),
 )
 
 #: Same contract for the serving pipeline: the event-driven reference

@@ -3,9 +3,10 @@ export PYTHONPATH := src
 
 .PHONY: check lint lint-strict compile test bench bench-fast bench-sweep \
 	bench-vcache bench-autoscale bench-attribution trace-smoke \
-	profile-smoke report-smoke explain-smoke bench-check
+	profile-smoke report-smoke explain-smoke autoscale-smoke bench-check
 
-check: lint-strict compile test trace-smoke profile-smoke report-smoke explain-smoke
+check: lint-strict compile test trace-smoke profile-smoke report-smoke \
+	explain-smoke autoscale-smoke
 
 lint:
 	$(PYTHON) -m tools.lint src tests benchmarks
@@ -98,6 +99,26 @@ report-smoke:
 	PYTHONPATH=src:. $(PYTHON) -m tools.check_trace \
 		--timeseries /tmp/rmssd_timeseries_smoke.json \
 		--metrics /tmp/rmssd_report_metrics_smoke.json
+
+# Flash-crowd trace against a one-replica fleet with the burn-rate
+# autoscaler: the controller must scale out at least once, and the DES
+# and closed-form replay must export byte-identical timeseries
+# documents, scaling-event log included (same steps as tools/check.sh).
+autoscale-smoke:
+	RMSSD_SANITIZE=1 $(PYTHON) -m repro sla rmc1 --cluster --autoscale \
+		--replicas 1 --balancer jsq --rows 64 --duration-ms 100 \
+		--window-ms 2.0 --sla-ms 0.5 \
+		--timeseries-out /tmp/rmssd_autoscale_smoke.json > /dev/null
+	RMSSD_SANITIZE=1 $(PYTHON) -m repro sla rmc1 --cluster --autoscale \
+		--replicas 1 --balancer jsq --rows 64 --duration-ms 100 \
+		--window-ms 2.0 --sla-ms 0.5 --no-fastpath \
+		--timeseries-out /tmp/rmssd_autoscale_smoke_des.json > /dev/null
+	cmp /tmp/rmssd_autoscale_smoke.json /tmp/rmssd_autoscale_smoke_des.json
+	$(PYTHON) -c "import json; \
+	events = json.load(open('/tmp/rmssd_autoscale_smoke.json'))['cluster']['scaling_events']; \
+	ups = sum(1 for e in events if e['action'] == 'scale-up'); \
+	assert ups >= 1, 'autoscaler never scaled up'; \
+	print('ok   %d scale-up(s), timeseries byte-identical' % ups)"
 
 # Regenerate the benchmarks and diff them against the committed
 # BENCH_*.json baselines with per-metric tolerances (see

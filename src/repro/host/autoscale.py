@@ -35,7 +35,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import DEFAULT_RULES, BurnRateRule, SLOEngine
+from repro.obs.slo import (
+    DEFAULT_RULES,
+    BurnRateRule,
+    BurnRateStream,
+    SLOEngine,
+)
+from repro.obs.timeseries import window_index
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,13 @@ class Autoscaler:
         #: Private control-plane registry: the dispatcher feeds it the
         #: analytic latency of every batch at its completion instant.
         self.control = MetricsRegistry(window_ns=window_ns)
+        self._latency = self.control.histogram(names.METRIC_SERVING_LATENCY)
+        #: The control loop's streaming burn-rate state: it consumes
+        #: each closed window of the control series exactly once.
+        (objective,) = self.engine.objectives
+        self._stream = BurnRateStream(
+            objective, self.engine.rules, window_ns, 0
+        )
         self.epoch_ns = epoch_windows * float(window_ns)
         self.events: List[ScalingEvent] = []
         self._epoch = 0
@@ -163,21 +176,41 @@ class Autoscaler:
 
     # ------------------------------------------------------------------
     def observe(self, latency_ns: float, done_ns: float) -> None:
-        """Record one dispatched batch's (exact) predicted latency."""
-        self.control.histogram(names.METRIC_SERVING_LATENCY).observe(
-            latency_ns, t_ns=done_ns
-        )
+        """Record one dispatched batch's (exact) predicted latency.
+
+        Raises ValueError when ``done_ns`` falls in a window the
+        control stream has already judged: such a late observation
+        would silently rewrite a past decision's input.
+        """
+        closed = self._stream.next_index
+        if window_index(done_ns, self.engine.window_ns) < closed:
+            raise ValueError(
+                f"observation at t={done_ns} ns lands in a window the "
+                f"autoscaler already consumed (next window {closed})"
+            )
+        self._latency.observe(latency_ns, t_ns=done_ns)
 
     def causal_alerts(self, t_ns: float) -> Tuple[dict, ...]:
         """Burn-rate alerts that became visible since the last epoch.
 
-        An alert stamped ``t <= t_ns`` depends only on windows that
-        closed before ``t_ns`` — batches arriving later complete
-        later — so filtering on the stamp keeps the loop causal.
+        Advances the control stream over the windows that closed by
+        ``t_ns`` (``(index + 1) * window_ns <= t_ns``) and it has not
+        consumed yet, so each window's percentile is computed once per
+        run.  That is causal: after the evaluation at ``t_ns`` every
+        later batch arrives at or after ``t_ns``, so it completes in a
+        window the stream has not closed — :meth:`observe` enforces it.
         """
+        stream = self._stream
+        window_ns = self.engine.window_ns
+        stop = stream.next_index
+        while (stop + 1) * window_ns <= t_ns:
+            stop += 1
+        fresh: List[dict] = []
+        stream.advance(self._latency.series, stop, fresh)
+        fresh.sort(key=lambda e: (e["t_ns"], e["severity"], e["objective"]))
         return tuple(
             alert
-            for alert in self.engine.alerts(self.control)
+            for alert in fresh
             if self._last_eval_ns < alert["t_ns"] <= t_ns
         )
 

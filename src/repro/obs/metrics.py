@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.sketch import QuantileSketch
@@ -153,10 +154,6 @@ class LatencyHistogram:
             QuantileSketch(sketch_k) if sketch_k else None
         )
 
-    def _window_histogram(self) -> "LatencyHistogram":
-        """A plain (unwindowed, unsketched) clone for one window."""
-        return LatencyHistogram(self.name, self.bounds)
-
     def observe(self, value_ns: float, t_ns: Optional[float] = None) -> None:
         """Record one latency observation (simulated ns, >= 0).
 
@@ -180,8 +177,14 @@ class LatencyHistogram:
             self.sketch.insert(value_ns)
         if t_ns is not None and self.window_ns is not None:
             if self.series is None:
+                # Each window gets a plain (unwindowed, unsketched)
+                # clone.  The factory must not hold ``self``: a bound
+                # method would close a histogram <-> series reference
+                # cycle that only the cyclic GC can free.
                 self.series = WindowedLatency(
-                    self.name, self.window_ns, self._window_histogram
+                    self.name,
+                    self.window_ns,
+                    partial(LatencyHistogram, self.name, self.bounds),
                 )
             self.series.record(t_ns, value_ns)
 

@@ -29,6 +29,14 @@ windows, 2x budget).  Alerts are emitted as structured events on the
 simulated clock, once per rising edge — `tests/test_obs_slo.py` pins
 that an injected violation fires in exactly the expected window.
 
+Evaluation is streaming: :class:`BurnRateStream` consumes one closed
+window at a time (count and quantile read once, violating bit appended
+to a prefix sum, each rule's rising-edge state advanced once).  The
+offline :meth:`SLOEngine.evaluate` is a fold of a fresh stream over
+the populated windows, and the autoscaler advances its own stream
+epoch by epoch, so both share one implementation and a run's alerting
+work is linear in its windows.
+
 Determinism: evaluation reads only the windowed series (whose inputs
 are bitwise-equal across the DES and fast paths) and does integer
 window arithmetic, so SLO reports are byte-identical across paths.
@@ -37,7 +45,7 @@ window arithmetic, so SLO reports are byte-identical across paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.obs import names
 
@@ -99,6 +107,96 @@ DEFAULT_RULES: Tuple[BurnRateRule, ...] = (
 )
 
 
+class BurnRateStream:
+    """Streaming burn-rate state of one objective.
+
+    Consumes *closed* windows one at a time, in index order from
+    ``first``: each step reads the window's observation count and
+    objective quantile once, appends its violating bit to an integer
+    prefix sum, derives every rule's long/short burn from two prefix
+    entries, and advances each rule's rising-edge state once.  Windows
+    before ``first`` comply, exactly like windows without data.
+    """
+
+    def __init__(
+        self,
+        objective: Objective,
+        rules: Sequence[BurnRateRule],
+        window_ns: float,
+        first: int,
+    ) -> None:
+        self.objective = objective
+        self.rules: Tuple[BurnRateRule, ...] = tuple(rules)
+        self.window_ns = float(window_ns)
+        #: Index of the next window to consume; every window below it
+        #: has been judged and must not change.
+        self.next_index = first
+        #: ``_prefix[k]`` = violating windows among the first k consumed.
+        self._prefix: List[int] = [0]
+        #: Rising-edge state per rule, by position (rules may share a
+        #: severity).
+        self._fired: List[bool] = [False] * len(self.rules)
+
+    def advance(self, series, stop: int, alerts: List[dict]) -> List[dict]:
+        """Consume windows ``next_index .. stop - 1`` of ``series`` (a
+        :class:`~repro.obs.timeseries.WindowedLatency`, or None for no
+        data); append their rising-edge alerts to ``alerts`` and return
+        their window records."""
+        objective = self.objective
+        budget = objective.budget
+        prefix = self._prefix
+        fired = self._fired
+        windows: List[dict] = []
+        for index in range(self.next_index, stop):
+            if series is None:
+                count, value = 0, 0.0
+            else:
+                count = series.window_count(index)
+                value = series.window_percentile(index, objective.quantile)
+            bad = count > 0 and value > objective.threshold_ns
+            prefix.append(prefix[-1] + bad)
+            end = len(prefix) - 1
+            windows.append(
+                {
+                    "index": index,
+                    "start_ns": index * self.window_ns,
+                    "count": count,
+                    "value_ns": value,
+                    "ok": not bad,
+                }
+            )
+            # Rising-edge alert per rule: fire the window the condition
+            # becomes true, stay silent while it holds, re-arm once clear.
+            for position, rule in enumerate(self.rules):
+                long_burn = (
+                    prefix[end] - prefix[max(0, end - rule.long_windows)]
+                ) / rule.long_windows / budget
+                short_burn = (
+                    prefix[end] - prefix[max(0, end - rule.short_windows)]
+                ) / rule.short_windows / budget
+                active = (
+                    long_burn >= rule.burn_threshold
+                    and short_burn >= rule.burn_threshold
+                )
+                if active and not fired[position]:
+                    alerts.append(
+                        {
+                            "type": names.ALERT_BURN_RATE,
+                            "severity": rule.severity,
+                            "objective": objective.name,
+                            "window": index,
+                            "t_ns": (index + 1) * self.window_ns,
+                            "long_burn": long_burn,
+                            "short_burn": short_burn,
+                            "long_windows": rule.long_windows,
+                            "short_windows": rule.short_windows,
+                        }
+                    )
+                fired[position] = active
+        self.next_index = max(self.next_index, stop)
+        return windows
+
+
 class SLOEngine:
     """Holds declared objectives; evaluates them against a windowed
     registry's latency series."""
@@ -140,16 +238,6 @@ class SLOEngine:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    @staticmethod
-    def _burn(violating: Dict[int, bool], end: int, span: int, budget: float) -> float:
-        """Burn rate over the trailing ``span`` windows ending at
-        ``end`` (windows with no data, or before the data, comply)."""
-        bad = sum(
-            1 for index in range(end - span + 1, end + 1)
-            if violating.get(index, False)
-        )
-        return bad / span / budget
-
     def _evaluate_objective(self, objective: Objective, series) -> dict:
         record: dict = {
             "name": objective.name,
@@ -163,52 +251,14 @@ class SLOEngine:
         indices = series.window_indices() if series is not None else []
         if not indices:
             return record
-        first, last = indices[0], indices[-1]
-        violating: Dict[int, bool] = {}
-        for index in range(first, last + 1):
-            count = series.window_count(index)
-            value = series.window_percentile(index, objective.quantile)
-            bad = count > 0 and value > objective.threshold_ns
-            violating[index] = bad
-            record["windows"].append(
-                {
-                    "index": index,
-                    "start_ns": index * self.window_ns,
-                    "count": count,
-                    "value_ns": value,
-                    "ok": not bad,
-                }
-            )
-        # Rising-edge alert per rule: fire the window the condition
-        # becomes true, stay silent while it holds, re-arm once clear.
-        fired: Dict[str, bool] = {rule.severity: False for rule in self.rules}
-        for index in range(first, last + 1):
-            for rule in self.rules:
-                long_burn = self._burn(
-                    violating, index, rule.long_windows, objective.budget
-                )
-                short_burn = self._burn(
-                    violating, index, rule.short_windows, objective.budget
-                )
-                active = (
-                    long_burn >= rule.burn_threshold
-                    and short_burn >= rule.burn_threshold
-                )
-                if active and not fired[rule.severity]:
-                    record["alerts"].append(
-                        {
-                            "type": names.ALERT_BURN_RATE,
-                            "severity": rule.severity,
-                            "objective": objective.name,
-                            "window": index,
-                            "t_ns": (index + 1) * self.window_ns,
-                            "long_burn": long_burn,
-                            "short_burn": short_burn,
-                            "long_windows": rule.long_windows,
-                            "short_windows": rule.short_windows,
-                        }
-                    )
-                fired[rule.severity] = active
+        # Offline evaluation is a fold of a fresh stream over the
+        # populated span: the same per-window step the autoscaler runs.
+        stream = BurnRateStream(
+            objective, self.rules, self.window_ns, indices[0]
+        )
+        record["windows"] = stream.advance(
+            series, indices[-1] + 1, record["alerts"]
+        )
         return record
 
     def evaluate(self, metrics) -> List[dict]:

@@ -1,5 +1,6 @@
 """Tests for open-loop cluster serving and SLA autoscaling."""
 
+import collections
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from repro.host.cluster_serving import (
 )
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeseries import WindowedLatency
 from repro.workloads.arrivals import flash_crowd_trace, poisson_trace
 
 EMB, BOT, TOP = 200_000, 50_000, 30_000
@@ -266,6 +268,33 @@ class TestAutoscaler:
         for before, after in zip(point.scale_events, point.scale_events[1:]):
             if after.action == names.EVENT_SCALE_DOWN:
                 assert after.t_ns - before.t_ns > epoch_ns
+
+    def test_each_window_percentile_computed_once(self, monkeypatch):
+        """The control loop consumes each closed window once: no
+        (window, quantile) pair of the control series is evaluated
+        twice in one serve_trace."""
+        calls = collections.Counter()
+        percentile = WindowedLatency.window_percentile
+
+        def counted(series, index, q):
+            calls[(id(series), index, q)] += 1
+            return percentile(series, index, q)
+
+        monkeypatch.setattr(WindowedLatency, "window_percentile", counted)
+        point = self.flash_run()
+        assert point.scale_ups >= 1
+        assert calls, "the autoscaler never read a window"
+        assert max(calls.values()) == 1
+
+    def test_late_observation_in_consumed_window_raises(self):
+        scaler = Autoscaler(sla_ns=1e6, window_ns=1e6)
+        scaler.observe(5e5, done_ns=5e5)
+        assert scaler.causal_alerts(4e6) == ()
+        # Windows 0-3 are judged; a completion inside them is late.
+        with pytest.raises(ValueError, match="already consumed"):
+            scaler.observe(1e5, done_ns=3.5e6)
+        # The still-open window 4 accepts observations.
+        scaler.observe(1e5, done_ns=4e6)
 
     def test_evaluate_holds_without_alerts(self):
         scaler = Autoscaler(sla_ns=1e6, window_ns=1e6)

@@ -4,12 +4,17 @@ The load-bearing pin: an *injected* SLA violation fires the alert in
 exactly the window where it happened — and nowhere else.  Plus
 rising-edge semantics (no re-fire while the condition holds, re-arm
 after it clears), default fast/slow rule pairing, validation, and the
-report shape embedded in the timeseries document.
+report shape embedded in the timeseries document.  A differential
+property pins that advancing a :class:`BurnRateStream` at arbitrary
+cut points emits exactly the offline alerts.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import BurnRateRule, MetricsRegistry, Objective, SLOEngine, names
+from repro.obs.slo import BurnRateStream
 
 WINDOW_NS = 1000.0
 
@@ -175,3 +180,104 @@ def test_custom_rule_threshold():
         threshold_ns=1000.0,
     )
     assert [a["window"] for a in engine.alerts(metrics)] == [5]
+
+
+def test_rules_sharing_a_severity_keep_their_own_edge():
+    # Windows 4-8 violate.  The long rule never fires, and its inactive
+    # steps must not re-arm the short rule while its condition holds.
+    data = {i: [100.0] for i in range(12)}
+    for index in range(4, 9):
+        data[index] = [5000.0]
+    metrics = windowed_metrics(data)
+    short = BurnRateRule(names.ALERT_PAGE, 2, 1, 50.0)
+    long = BurnRateRule(names.ALERT_PAGE, 24, 6, 50.0)
+    alone = SLOEngine(WINDOW_NS, rules=(short,))
+    both = SLOEngine(WINDOW_NS, rules=(short, long))
+    for engine in (alone, both):
+        engine.objective(
+            names.SLO_SERVING_TAIL,
+            names.METRIC_SERVING_LATENCY,
+            quantile=99.0,
+            threshold_ns=1000.0,
+        )
+    assert [a["window"] for a in alone.alerts(metrics)] == [4]
+    assert both.alerts(metrics) == alone.alerts(metrics)
+
+
+_rules = st.lists(
+    st.builds(
+        lambda severity, spans, threshold: BurnRateRule(
+            severity, max(spans), min(spans), threshold
+        ),
+        st.sampled_from((names.ALERT_PAGE, names.ALERT_TICKET)),
+        st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        st.sampled_from((1.0, 2.0, 10.0, 33.3, 50.0, 100.0)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+_objectives = st.lists(
+    st.tuples(
+        st.sampled_from(
+            (names.METRIC_SERVING_LATENCY, names.METRIC_REQUEST_LATENCY)
+        ),
+        st.sampled_from((50.0, 90.0, 99.0, 100.0)),
+        st.sampled_from((500.0, 1000.0, 3000.0)),
+        st.sampled_from((0.01, 0.1, 0.5)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+# Per-window latencies; an empty list is a window with no data, and a
+# window absent from the map is a gap.
+_latencies = st.dictionaries(
+    st.integers(0, 40),
+    st.lists(st.sampled_from((50.0, 400.0, 900.0, 2000.0, 8000.0)), max_size=5),
+    max_size=30,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rules=_rules,
+    objectives=_objectives,
+    serving=_latencies,
+    request=_latencies,
+    cuts=st.lists(st.integers(0, 45), max_size=6),
+)
+def test_stream_at_any_cuts_matches_offline(
+    rules, objectives, serving, request, cuts
+):
+    metrics = MetricsRegistry(window_ns=WINDOW_NS)
+    for name, data in (
+        (names.METRIC_SERVING_LATENCY, serving),
+        (names.METRIC_REQUEST_LATENCY, request),
+    ):
+        histogram = metrics.histogram(name)
+        for index, latencies in data.items():
+            for latency in latencies:
+                histogram.observe(latency, t_ns=index * WINDOW_NS + 1.0)
+    engine = SLOEngine(WINDOW_NS, rules=rules)
+    for position, (metric, quantile, threshold, budget) in enumerate(
+        objectives
+    ):
+        engine.objective(
+            f"objective-{position}",
+            metric,
+            quantile=quantile,
+            threshold_ns=threshold,
+            budget=budget,
+        )
+    streams = [
+        BurnRateStream(objective, engine.rules, WINDOW_NS, 0)
+        for objective in engine.objectives
+    ]
+    streamed = []
+    for stop in sorted(cuts) + [46]:
+        fresh = []
+        for stream in streams:
+            stream.advance(metrics.series(stream.objective.metric), stop, fresh)
+        fresh.sort(key=lambda e: (e["t_ns"], e["severity"], e["objective"]))
+        streamed.extend(fresh)
+    # Exact equality: windows, burns (floats) and order included.
+    assert streamed == engine.alerts(metrics)

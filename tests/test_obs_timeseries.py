@@ -8,13 +8,16 @@ conserves busy time exactly, and both exporters (JSON document,
 Prometheus text) are deterministic.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
 from repro.obs import (
     MetricsRegistry,
     Profiler,
+    names,
     render_prometheus,
 )
 from repro.obs.timeseries import (
@@ -110,6 +113,23 @@ def test_latency_windows_match_aggregate_semantics():
         w["min_ns"] <= w["p50_ns"] <= w["p95_ns"] <= w["p99_ns"] <= w["max_ns"]
         for w in data["windows"]
     )
+
+
+def test_windowed_histogram_freed_by_refcount():
+    """A histogram and its window series form no reference cycle, so a
+    dropped registry frees them without waiting for the cyclic GC."""
+    metrics = MetricsRegistry(window_ns=1000.0)
+    histogram = metrics.histogram(names.METRIC_SERVING_LATENCY)
+    histogram.observe(150.0, t_ns=10.0)
+    histogram.observe(250.0, t_ns=1500.0)
+    assert histogram.series is not None
+    ref = weakref.ref(histogram)
+    gc.disable()
+    try:
+        del metrics, histogram
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------

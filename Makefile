@@ -3,10 +3,11 @@ export PYTHONPATH := src
 
 .PHONY: check lint lint-strict compile test bench bench-fast bench-sweep \
 	bench-vcache bench-autoscale bench-attribution trace-smoke \
-	profile-smoke report-smoke explain-smoke autoscale-smoke bench-check
+	profile-smoke report-smoke explain-smoke autoscale-smoke bench-gate \
+	bench-check
 
 check: lint-strict compile test trace-smoke profile-smoke report-smoke \
-	explain-smoke autoscale-smoke
+	explain-smoke autoscale-smoke bench-gate
 
 lint:
 	$(PYTHON) -m tools.lint src tests benchmarks
@@ -119,6 +120,66 @@ autoscale-smoke:
 	ups = sum(1 for e in events if e['action'] == 'scale-up'); \
 	assert ups >= 1, 'autoscaler never scaled up'; \
 	print('ok   %d scale-up(s), timeseries byte-identical' % ups)"
+
+# Bench-regression gate over the committed baselines, without re-running
+# any bench (same steps as tools/check.sh): each BENCH_*.json must pass
+# its own invariants and an identity diff, and four injected
+# regressions (throughput, SLA loss, tail blame, wall-clock budget)
+# must be flagged.
+bench-gate:
+	PYTHONPATH=src:. $(PYTHON) -m tools.bench_compare \
+		--self-check BENCH_fastpath.json BENCH_sweep.json BENCH_vcache.json \
+		BENCH_autoscale.json BENCH_attribution.json
+	for bench in fastpath sweep vcache autoscale attribution; do \
+		PYTHONPATH=src:. $(PYTHON) -m tools.bench_compare \
+			--baseline BENCH_$$bench.json --fresh BENCH_$$bench.json \
+			|| exit 1; \
+	done
+	$(PYTHON) -c "import json; p = json.load(open('BENCH_vcache.json')); \
+	p['qps']['rmc1/RM-SSD+cache'][0] *= 0.5; \
+	json.dump(p, open('/tmp/rmssd_bench_regressed.json', 'w'))"
+	if PYTHONPATH=src:. $(PYTHON) -m tools.bench_compare \
+		--baseline BENCH_vcache.json \
+		--fresh /tmp/rmssd_bench_regressed.json > /dev/null; then \
+		echo "bench_compare missed an injected regression" >&2; exit 1; \
+	else echo "ok   injected regression flagged"; fi
+	$(PYTHON) -c "import json; p = json.load(open('BENCH_autoscale.json')); \
+	p['autoscaled']['meets_sla'] = False; \
+	p['autoscaled']['p99_ms'] = p['sla_ms'] * 2; \
+	json.dump(p, open('/tmp/rmssd_bench_autoscale_bad.json', 'w'))"
+	if PYTHONPATH=src:. $(PYTHON) -m tools.bench_compare \
+		--baseline BENCH_autoscale.json \
+		--fresh /tmp/rmssd_bench_autoscale_bad.json > /dev/null; then \
+		echo "bench_compare missed an injected SLA loss" >&2; exit 1; \
+	else echo "ok   injected autoscaler SLA loss flagged"; fi
+	$(PYTHON) -c "import json; p = json.load(open('BENCH_attribution.json')); \
+	p['p99_ms'][-1] *= 1.5; \
+	q = [e for e in p['explain']['quantiles'] if e['q'] == p['quantile']][0]; \
+	q['latency_ns'] *= 1.5; \
+	extra = q['tail']['mean_ns']['queue_ns'] * 0.8; \
+	q['tail']['mean_ns']['queue_ns'] += extra; \
+	q['tail']['mean_ns']['latency_ns'] += extra; \
+	json.dump(p, open('/tmp/rmssd_bench_attr_bad.json', 'w'))"
+	if PYTHONPATH=src:. $(PYTHON) -m tools.bench_compare \
+		--baseline BENCH_attribution.json \
+		--fresh /tmp/rmssd_bench_attr_bad.json \
+		> /tmp/rmssd_bench_attr_out.txt; then \
+		echo "bench_compare missed an injected tail-blame regression" >&2; \
+		exit 1; \
+	fi
+	grep -q "explain: p99 .*queue" /tmp/rmssd_bench_attr_out.txt || \
+		{ echo "bench_compare failed without the explain diagnostic" >&2; \
+		exit 1; }
+	@echo "ok   injected tail-blame regression flagged and attributed"
+	$(PYTHON) -c "import json; p = json.load(open('BENCH_sweep.json')); \
+	p['wall_s'] = p['max_wall_s'] * 2; \
+	json.dump(p, open('/tmp/rmssd_bench_slow.json', 'w'))"
+	if PYTHONPATH=src:. $(PYTHON) -m tools.bench_compare \
+		--baseline BENCH_sweep.json \
+		--fresh /tmp/rmssd_bench_slow.json > /dev/null; then \
+		echo "bench_compare missed an injected wall-clock blowout" >&2; \
+		exit 1; \
+	else echo "ok   injected wall-clock blowout flagged"; fi
 
 # Regenerate the benchmarks and diff them against the committed
 # BENCH_*.json baselines with per-metric tolerances (see

@@ -56,6 +56,18 @@ def resolve_fast(fast: Optional[bool]) -> bool:
     return fastpath.enabled()
 
 
+def serve_step(arrival: float, duration: float, free: float) -> Tuple[float, float]:
+    """One ``Server.serve`` call: ``(start, finish)`` of a job offered
+    at ``arrival`` to a server free at ``free``.
+
+    ``start = max(now, free_at)``; ``max()`` keeps its first argument
+    on ties, so the comparison is spelled the same way.  Every scalar
+    replay of the stage recurrence goes through here.
+    """
+    start = arrival if arrival >= free else free
+    return start, start + duration
+
+
 def serve_chain(
     arrivals: np.ndarray,
     durations: np.ndarray,
@@ -90,21 +102,21 @@ def serve_chain(
 def _serve_chain_loop(
     t: np.ndarray, d: np.ndarray, free: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference left-to-right replay (`max` written as the DES's)."""
-    n = t.size
-    starts = np.empty(n, dtype=np.float64)
-    finishes = np.empty(n, dtype=np.float64)
-    arrivals = t.tolist()
-    durations = d.tolist()
-    for i in range(n):
-        arrival = arrivals[i]
-        # Server.serve: start = max(now, free_at); max() keeps the
-        # first argument on ties, so spell the comparison the same way.
-        start = arrival if arrival >= free else free
-        free = start + durations[i]
-        starts[i] = start
-        finishes[i] = free
-    return starts, finishes
+    """Reference left-to-right replay: one :func:`serve_step` per job.
+
+    Collects Python lists and converts once: per-element numpy stores
+    would cost more than the step itself.
+    """
+    starts = []
+    finishes = []
+    for arrival, duration in zip(t.tolist(), d.tolist()):
+        start, free = serve_step(arrival, duration, free)
+        starts.append(start)
+        finishes.append(free)
+    return (
+        np.array(starts, dtype=np.float64),
+        np.array(finishes, dtype=np.float64),
+    )
 
 
 def _serve_chain_scan(

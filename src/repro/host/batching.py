@@ -10,18 +10,18 @@ schedules around.
 :class:`DynamicBatcher` implements the standard policy: dispatch when
 either ``max_batch`` queries are waiting or the oldest has waited
 ``max_wait_ns``.  Batches then flow through the three-stage RM-SSD
-pipeline with batch-size-dependent stage times.
+pipeline (:class:`~repro.core.pipeline_sim.PipelineSimulator`) with
+batch-size-dependent stage times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Sequence
+from typing import Callable, List, Sequence
 
 from repro.analysis.metrics import percentile
-from repro.obs import names
+from repro.core.pipeline_sim import PipelineSimulator
 from repro.fpga.compose import StageTimes
-from repro.sim import Server, Simulator
 
 #: Maps a batch size to its (emb_ns, bot_ns, top_ns) stage times.
 StageTimesFn = Callable[[int], tuple]
@@ -82,64 +82,58 @@ class DynamicBatcher:
 
     # ------------------------------------------------------------------
     def run(self, arrival_times_ns: Sequence[float]) -> BatchingResult:
-        """Serve queries arriving at the given (sorted) instants."""
+        """Serve queries arriving at the given (sorted) instants.
+
+        The dispatch schedule depends only on the arrivals: the
+        batcher's clock moves by its own timeouts alone, replayed here
+        with the DES's float steps (``now + (target - now)``).  The
+        batches then ride :class:`PipelineSimulator` like every other
+        serving run, so ``RMSSD_FASTPATH`` picks the DES or the
+        closed-form replay (bitwise-equal).
+        """
         arrivals = list(arrival_times_ns)
         if not arrivals:
             raise ValueError("no queries")
         if arrivals != sorted(arrivals):
             raise ValueError("arrival times must be sorted")
 
-        sim = Simulator()
-        emb_server = Server(sim, names.STAGE_EMB)
-        bot_server = Server(sim, names.STAGE_BOT)
-        top_server = Server(sim, names.STAGE_TOP)
+        groups: List[range] = []
+        dispatch_ns: List[float] = []
+        now = 0.0
+        index = 0
+        while index < len(arrivals):
+            if now < arrivals[index]:
+                now = now + (arrivals[index] - now)
+            deadline = arrivals[index] + self.max_wait_ns
+            take = 1
+            while (
+                take < self.max_batch
+                and index + take < len(arrivals)
+                and arrivals[index + take] <= deadline
+            ):
+                take += 1
+            if take == self.max_batch:
+                dispatch_at = max(now, arrivals[index + take - 1])
+            else:
+                dispatch_at = max(now, deadline)
+            if now < dispatch_at:
+                now = now + (dispatch_at - now)
+            groups.append(range(index, index + take))
+            dispatch_ns.append(now)
+            index += take
+
+        stages = [self.stage_times_fn(len(group)) for group in groups]
+        served = PipelineSimulator(
+            emb_ns=lambda i: stages[i][0],
+            bot_ns=lambda i: stages[i][1],
+            top_ns=lambda i: stages[i][2],
+        ).run(len(groups), arrival_times_ns=dispatch_ns)
         latencies: List[float] = [0.0] * len(arrivals)
-        batch_sizes: List[int] = []
-
-        def serve_batch(members: List[int]) -> Generator:
-            emb_ns, bot_ns, top_ns = self.stage_times_fn(len(members))
-
-            def emb_stage() -> Generator:
-                yield emb_server.serve(emb_ns)
-
-            def bot_stage() -> Generator:
-                if bot_ns > 0:
-                    yield bot_server.serve(bot_ns)
-
-            yield sim.all_of([sim.process(emb_stage()), sim.process(bot_stage())])
-            if top_ns > 0:
-                yield top_server.serve(top_ns)
-            for query in members:
-                latencies[query] = sim.now - arrivals[query]
-
-        def batcher() -> Generator:
-            index = 0
-            while index < len(arrivals):
-                if sim.now < arrivals[index]:
-                    yield sim.timeout(arrivals[index] - sim.now)
-                deadline = arrivals[index] + self.max_wait_ns
-                take = 1
-                while (
-                    take < self.max_batch
-                    and index + take < len(arrivals)
-                    and arrivals[index + take] <= deadline
-                ):
-                    take += 1
-                if take == self.max_batch:
-                    dispatch_at = max(sim.now, arrivals[index + take - 1])
-                else:
-                    dispatch_at = max(sim.now, deadline)
-                if sim.now < dispatch_at:
-                    yield sim.timeout(dispatch_at - sim.now)
-                members = list(range(index, index + take))
-                batch_sizes.append(take)
-                sim.process(serve_batch(members))
-                index += take
-
-        sim.process(batcher())
-        sim.run()
+        for group, record in zip(groups, served.records):
+            for query in group:
+                latencies[query] = record.top_done_ns - arrivals[query]
         return BatchingResult(
             query_latencies_ns=latencies,
-            batch_sizes=batch_sizes,
-            makespan_ns=sim.now,
+            batch_sizes=[len(group) for group in groups],
+            makespan_ns=served.makespan_ns,
         )

@@ -6,12 +6,13 @@ of per-query instants flows through a pluggable load balancer into a
 fleet of replica pipelines, optionally under the closed-loop
 :class:`~repro.host.autoscale.Autoscaler`.
 
-Structure of one run (:meth:`ClusterServingSimulator.serve`):
+Structure of one run (:meth:`ClusterServingSimulator.serve_trace`):
 
 1. Query arrivals fold into batch arrivals (``nbatch`` queries per
    batch, a batch arrives with its last query).
 2. The *dispatch plan* assigns each batch to a replica using an exact
-   analytic mirror of the pipeline's max-plus recurrence — the same
+   analytic mirror of the pipeline's max-plus recurrence — one
+   :func:`~repro.core.pipeline_fast.serve_step` per stage, the same
    float operations ``Server.serve`` performs — so the balancer's view
    of queue depths and completion times matches what the simulation
    will actually do, bit for bit.  The autoscaler evaluates between
@@ -30,13 +31,13 @@ latency distribution are all path-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.metrics import percentile
-from repro.core.pipeline_fast import resolve_fast
+from repro.core.pipeline_fast import resolve_fast, serve_step
 from repro.core.pipeline_sim import BatchRecord, PipelineSimulator
 from repro.fpga.compose import StageTimes
 from repro.host.autoscale import Autoscaler, EpochSignal, ScalingEvent
@@ -57,15 +58,15 @@ _STAGE_KEYS = ("emb", "bot", "top")
 class _ReplicaModel:
     """Exact analytic mirror of one replica's three-stage pipeline.
 
-    Tracks each stage server's ``free_at`` with the same arithmetic as
-    ``Server.serve`` (``start = arrival if arrival >= free else free``,
-    caller resumes at ``arrival + (finish - arrival)``), so predicted
-    completion times equal the simulated ones bitwise for constant
-    stage times.  Per-replica batch arrivals are sorted (they are a
-    subsequence of the sorted global arrivals) and the stage times are
-    constant, so ready times are non-decreasing and the top stage's
-    stable service order is arrival order — the sequential recurrence
-    is the whole story.
+    Tracks each stage server's ``free_at`` through
+    :func:`~repro.core.pipeline_fast.serve_step`, and the caller
+    resumes at ``arrival + (finish - arrival)`` as after
+    ``Server.serve``, so predicted completion times equal the
+    simulated ones bitwise for constant stage times.  Per-replica batch
+    arrivals are sorted (they are a subsequence of the sorted global
+    arrivals) and the stage times are constant, so ready times are
+    non-decreasing and the top stage's stable service order is arrival
+    order — the sequential recurrence is the whole story.
     """
 
     __slots__ = ("emb_ns", "bot_ns", "top_ns", "_free", "_done", "_head")
@@ -85,26 +86,25 @@ class _ReplicaModel:
     def predict(self, arrival_ns: float):
         """Completion instant and post-dispatch frees for ``arrival_ns``
         — pure (no state change)."""
-        a = arrival_ns if arrival_ns >= 0.0 else 0.0
+        # Flows bootstrap at clock 0: a batch is never served earlier.
+        # Both max() calls here are spelled out with max()'s own
+        # first-wins rule; the builtin would cost more than the rest of
+        # this method, which runs once per batch and candidate replica.
+        a = 0.0 if 0.0 > arrival_ns else arrival_ns
         emb_free, bot_free, top_free = self._free
-        emb_start = a if a >= emb_free else emb_free
-        emb_finish = emb_start + self.emb_ns
+        emb_finish = serve_step(a, self.emb_ns, emb_free)[1]
         emb_done = a + (emb_finish - a)
         if self.bot_ns > 0:
-            bot_start = a if a >= bot_free else bot_free
-            bot_finish = bot_start + self.bot_ns
+            bot_finish = serve_step(a, self.bot_ns, bot_free)[1]
             bot_done = a + (bot_finish - a)
         else:
-            bot_finish = bot_free
-            bot_done = a
-        ready = emb_done if emb_done >= bot_done else bot_done
+            bot_finish, bot_done = bot_free, a
+        ready = bot_done if bot_done > emb_done else emb_done
         if self.top_ns > 0:
-            top_start = ready if ready >= top_free else top_free
-            top_finish = top_start + self.top_ns
+            top_finish = serve_step(ready, self.top_ns, top_free)[1]
             top_done = ready + (top_finish - ready)
         else:
-            top_finish = top_free
-            top_done = ready
+            top_finish, top_done = top_free, ready
         return top_done, (emb_finish, bot_finish, top_finish)
 
     def commit(self, arrival_ns: float) -> float:
@@ -269,7 +269,7 @@ class _DispatchPlan:
     queries: int
     batches: int
     balancer: str
-    replica_count: int = field(default=0)
+    replica_count: int
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +332,8 @@ class ClusterServingSimulator:
     def _bottleneck(self) -> Tuple[str, bool]:
         """The replica pipeline's limiting stage, with the profiler's
         tie-break (equal totals resolve to the earliest key: emb)."""
+        # max() returns the first maximal key, which is the tie-break.
         stage = max(_STAGE_KEYS, key=lambda key: self.stage_ns[key])
-        for key in _STAGE_KEYS:
-            if self.stage_ns[key] >= self.stage_ns[stage]:
-                stage = key
-                break
         return stage, stage == "emb"
 
     @staticmethod
@@ -453,17 +450,9 @@ class ClusterServingSimulator:
             events.append(scaler.events[-1])
 
     # ------------------------------------------------------------------
-    # Execution: replay the plan per replica (R9 CLUSTER_PARITY roots).
-    # ------------------------------------------------------------------
-    def _serve_des(self, plan: _DispatchPlan) -> ClusterLoadPoint:
-        """Event-driven replay of a dispatch plan."""
-        return self._replay(plan, fast=False)
-
-    def _serve_fast(self, plan: _DispatchPlan) -> ClusterLoadPoint:
-        """Closed-form replay of a dispatch plan (bitwise-equal)."""
-        return self._replay(plan, fast=True)
-
     def _replay(self, plan: _DispatchPlan, fast: bool) -> ClusterLoadPoint:
+        """Replay the plan per replica on the DES or the closed-form
+        path (bitwise-equal)."""
         records: List[BatchRecord] = []
         per_replica: List[int] = []
         path = "fast" if fast else "des"
@@ -533,15 +522,13 @@ class ClusterServingSimulator:
         """Serve an :class:`ArrivalTrace` (or raw sorted query instants)
         through the cluster; ``fast=None`` follows ``RMSSD_FASTPATH``."""
         plan = self._plan(self._query_times(trace))
-        if resolve_fast(fast):
-            return self._serve_fast(plan)
-        return self._serve_des(plan)
+        return self._replay(plan, resolve_fast(fast))
 
     def timeseries_document(self, slo=None) -> dict:
         """The ``rmssd-timeseries/v1`` document with the ``cluster``
         section of the last run (requires a windowed registry)."""
         if self._last_point is None:
-            raise ValueError("no cluster run to export; call serve() first")
+            raise ValueError("no cluster run to export; call serve_trace() first")
         cluster = self._last_point.cluster_section()
         if self.autoscaler is not None:
             cluster["autoscaler"] = self.autoscaler.report_dict()

@@ -196,8 +196,8 @@ class ServingSimulator:
         # Inlined latency_ns / queue_ns: this comprehension runs once
         # per batch per sweep point, where property dispatch is the
         # single biggest cost of the fast replay path.  The metrics
-        # registry (when attached) was already fed by the pipeline's
-        # _observe_completions — identically on both paths.
+        # registry (when attached) was already fed by
+        # PipelineSimulator.run, from these same records.
         latencies = [r.top_done_ns - r.arrival_ns for r in result.records]
         queue_waits = [r.emb_start_ns - r.arrival_ns for r in result.records]
         elapsed_s = result.makespan_ns / 1e9

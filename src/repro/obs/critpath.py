@@ -118,11 +118,10 @@ def request_breakdown(record, replica: int = 0) -> Dict[str, float]:
 class CritPathCollector:
     """Accumulates per-request breakdowns from pipeline runs.
 
-    Both pipeline paths feed it through
-    :meth:`~repro.core.pipeline_sim.PipelineSimulator` (the R9
-    ``EXPLAIN_PARITY`` roots ``_explain_des`` / ``_explain_fast``); the
-    cluster simulator sets the replica context before each replica's
-    replay so breakdowns carry the serving replica id.
+    :meth:`~repro.core.pipeline_sim.PipelineSimulator.run` feeds it
+    once per run, from the records of whichever path ran; the cluster
+    simulator sets the replica context before each replica's replay so
+    breakdowns carry the serving replica id.
     """
 
     def __init__(self) -> None:

@@ -129,8 +129,8 @@ EVENT_SCALE_DOWN = "scale-down"
 
 # ---------------------------------------------------------------------------
 # Critical-path attribution (repro.obs.critpath) — the per-request
-# breakdown stream both pipeline paths feed into a CritPathCollector;
-# the R9 EXPLAIN_PARITY spec diffs the DES and fast feeds.
+# breakdown stream PipelineSimulator.run feeds into a CritPathCollector
+# from the records of whichever path ran.
 # ---------------------------------------------------------------------------
 CRITPATH_REQUESTS = "critpath.requests"
 

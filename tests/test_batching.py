@@ -94,3 +94,70 @@ class TestTradeoff:
         result = batcher.run([0.0, 100.0, 200.0, 300.0])
         assert result.queries == 4
         assert result.qps > 0
+
+
+def random_case(rng):
+    """Arrivals with ties, zero stages and the max_wait=0 edge."""
+    n = int(rng.integers(1, 80))
+    gaps = rng.exponential(float(rng.choice([1.0, 13.7, 250.0])), size=n)
+    gaps[rng.random(n) < 0.3] = 0.0
+    arrivals = np.cumsum(gaps).tolist()
+    emb, bot, top = (float(rng.choice(c)) for c in (
+        [0.0, 37.3, 100.0], [0.0, 0.0, 45.5], [0.0, 0.0, 33.3]
+    ))
+    fn = constant_stage_fn(emb=emb, bot=bot, top=top,
+                           per_sample_emb=float(rng.choice([0.0, 7.1])))
+    max_batch = int(rng.integers(1, 10))
+    max_wait = float(rng.choice([0.0, 13.7, 200.0]))
+    return arrivals, fn, max_batch, max_wait
+
+
+def outcome(result):
+    return (result.batch_sizes, result.query_latencies_ns, result.makespan_ns)
+
+
+class TestExecutionPaths:
+    def test_des_and_fast_paths_are_bitwise_equal(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            arrivals, fn, max_batch, max_wait = random_case(rng)
+            outcomes = []
+            for flag in ("0", "1"):
+                monkeypatch.setenv("RMSSD_FASTPATH", flag)
+                batcher = DynamicBatcher(fn, max_batch, max_wait)
+                outcomes.append(outcome(batcher.run(arrivals)))
+            assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("flag", ["0", "1"])
+    def test_tie_heavy_case_pinned(self, monkeypatch, flag):
+        # Exact floats produced by the event-driven batcher this replay
+        # replaced: tied arrivals, max_wait=0 and a zero bottom stage.
+        monkeypatch.setenv("RMSSD_FASTPATH", flag)
+
+        def fn(nbatch):
+            return (0.3 + 0.1 * nbatch, 0.0, 0.2)
+
+        result = DynamicBatcher(fn, max_batch=2, max_wait_ns=0.0).run(
+            [0.0, 0.0, 0.0, 0.1, 0.1, 0.7, 0.7, 0.7, 2.9]
+        )
+        assert outcome(result) == (
+            [2, 1, 2, 2, 1, 1],
+            [
+                0.7, 0.7, 1.1, 1.4999999999999998, 1.4999999999999998,
+                1.4000000000000001, 1.4000000000000001, 1.8,
+                0.6000000000000005,
+            ],
+            3.5000000000000004,
+        )
+
+        def bot_only(nbatch):
+            return (0.0, 0.45 * nbatch, 0.0)
+
+        result = DynamicBatcher(bot_only, max_batch=3, max_wait_ns=0.0).run(
+            [0.1, 0.1, 0.1, 0.1, 0.2, 0.2, 1.3]
+        )
+        assert outcome(result) == (
+            [3, 1, 2, 1],
+            [1.35, 1.35, 1.35, 1.8, 2.6, 2.6, 1.9500000000000004],
+            3.2500000000000004,
+        )

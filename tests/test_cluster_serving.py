@@ -38,22 +38,30 @@ def cluster(replicas=2, balancer=BALANCER_ROUND_ROBIN, **kwargs):
 
 
 class TestReplicaModel:
-    def test_mirror_is_exact_against_pipeline(self):
-        """The analytic dispatcher predicts the DES's completion times
-        bitwise, for an irregular sorted arrival pattern."""
+    @pytest.mark.parametrize(
+        "temb, tbot, ttop, repeat",
+        [
+            (EMB, BOT, TOP, 1),
+            (EMB, 0, TOP, 1),  # bottom stage skipped
+            (EMB, BOT, 0, 1),  # top stage skipped
+            (EMB, BOT, TOP, 3),  # repeated arrival instants
+        ],
+        ids=["all-stages", "bot-zero", "top-zero", "repeated-instants"],
+    )
+    def test_mirror_is_exact_against_pipeline(self, temb, tbot, ttop, repeat):
+        """The analytic dispatcher predicts both pipeline paths'
+        completion times bitwise, for an irregular sorted arrival
+        pattern."""
         trace = poisson_trace(1500.0, 60, seed=13)
-        times = simple_times()
+        arrivals = [t for t in trace.times_ns for _ in range(repeat)]
         cycle = 5.0
-        model = _ReplicaModel(times.temb * cycle, times.tbot * cycle, times.ttop * cycle)
-        predicted = [model.commit(a) for a in trace.times_ns]
-        pipeline = PipelineSimulator(
-            emb_ns=times.temb * cycle,
-            bot_ns=times.tbot * cycle,
-            top_ns=times.ttop * cycle,
-        )
+        stage_ns = (temb * cycle, tbot * cycle, ttop * cycle)
+        model = _ReplicaModel(*stage_ns)
+        predicted = [model.commit(a) for a in arrivals]
+        pipeline = PipelineSimulator(*stage_ns)
         for fast in (False, True):
             result = pipeline.run(
-                trace.count, arrival_times_ns=list(trace.times_ns), fast=fast
+                len(arrivals), arrival_times_ns=arrivals, fast=fast
             )
             simulated = [r.top_done_ns for r in result.records]
             assert simulated == predicted
@@ -198,6 +206,15 @@ class TestClusterServing:
             simple_times(temb=10_000, tbot=90_000, ttop=20_000)
         )
         assert mlp_led._bottleneck() == ("bot", False)
+        # Ties resolve to the earliest stage key.
+        emb_bot_tie = ClusterServingSimulator(
+            simple_times(temb=50_000, tbot=50_000, ttop=20_000)
+        )
+        assert emb_bot_tie._bottleneck() == ("emb", True)
+        bot_top_tie = ClusterServingSimulator(
+            simple_times(temb=10_000, tbot=40_000, ttop=40_000)
+        )
+        assert bot_top_tie._bottleneck() == ("bot", False)
 
 
 class TestAutoscaler:

@@ -9,17 +9,14 @@ profiler record, and asserts that
 * the **mutated** copy trips R9 with a violation naming the now
   DES-only record.
 
-Four contracts are exercised: the lookup path (the ``record_busy``
+Two contracts are exercised: the lookup path (the ``record_busy``
 call that closes a die's busy interval in
-:func:`repro.ssd.fastpath._replay_channel`), the serving path (the
+:func:`repro.ssd.fastpath._replay_channel`) and the serving path (the
 ``record_service`` call that records every stage triple in
-:func:`repro.core.pipeline_fast._record_stage_services`), the serving
-*timeseries* feed (the fast path's ``_observe_completions`` call in
-:meth:`repro.core.pipeline_sim.PipelineSimulator._run_fast`, whose
-deletion leaves the windowed serving metrics DES-only), and the
-*critical-path* feed (the ``record_requests`` call in
-``_explain_fast``, whose deletion leaves the rmssd-explain/v1
-attribution documents DES-only).
+:func:`repro.core.pipeline_fast._record_stage_services`).  Metrics,
+spans and critical-path records need no canary: one emitter,
+:meth:`repro.core.pipeline_sim.PipelineSimulator.run`, feeds them from
+the records either path returns.
 
 If a refactor ever blinds R9 — a renamed root, a broken call-graph
 edge, an over-wide provenance union — the clean/mutated runs stop
@@ -70,26 +67,6 @@ MUTATIONS: Tuple[Mutation, ...] = (
         function="_record_stage_services",
         call="record_service",
         token="emb",
-    ),
-    # Timeseries drift: drop the fast path's _observe_completions call
-    # (the sole feeder of the windowed serving metrics), leaving the
-    # serving histograms DES-only.
-    Mutation(
-        label="timeseries",
-        file=Path("repro") / "core" / "pipeline_sim.py",
-        function="_run_fast",
-        call="_observe_completions",
-        token="serving.latency_ns",
-    ),
-    # Explain drift: drop the fast path's per-request feed to the
-    # CritPathCollector, leaving the critical-path attribution stream
-    # DES-only (the EXPLAIN_PARITY spec must name it).
-    Mutation(
-        label="explain",
-        file=Path("repro") / "core" / "pipeline_sim.py",
-        function="_explain_fast",
-        call="record_requests",
-        token="critpath.requests",
     ),
 )
 

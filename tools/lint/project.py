@@ -60,8 +60,8 @@ INSTRUMENTATION_APIS: Dict[str, Tuple[int, str, Optional[int], Optional[str], Op
     # goes through the kind slot of the spec tuple).
     "objective": (0, "name", 1, "metric", None),
     # CritPathCollector.record_requests(name, records): the
-    # per-request critical-path feed both pipeline paths emit; R9's
-    # EXPLAIN_PARITY spec diffs the DES and fast emission sets.
+    # per-request critical-path feed PipelineSimulator.run emits; its
+    # stream name rides the catalogue discipline (R12).
     "record_requests": (0, "name", None, None, None),
 }
 
